@@ -3,22 +3,30 @@
     python3 benchmark/run.py --workload redei --seed 1 --seconds 10 --trace 0
 
 Run from the repository root; the library is imported from `src/`.  The
-workloads are described in `workloads.py`.  A run generates rounds of inputs
-from the seed and times each op until `--seconds` of wall time have passed,
-finishing the round in progress.  Every result is checked by an oracle outside
-the timed region.  Every op runs under the workload's deadline, enforced by
-SIGALRM from outside the library; then each frontier input runs once.  The last line of standard output is one JSON object:
+workloads are described in `workloads.py`.  A run draws a fixed sample of
+rounds of inputs from the seed, as many as take about `--seconds` in all at
+each workload's nominal round time, and times every op of the sample in the
+workload's number of passes.  Each op time is scaled to a nominal host speed
+by `hostspeed.py`, which times a fixed reference task while the ops run, and
+an op's latency is the best of its passes.  Every result is checked by an oracle
+outside the timed region.  Every op runs under the workload's deadline,
+enforced by SIGALRM from outside the library; then each frontier input runs
+once.  The last line of standard output is one JSON object:
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
-`attempted` and `failed` count main-band ops; an op fails if it raises,
-misses its deadline or fails its oracle, and `correct` is false if any
-oracle disagreed.  With `--trace 0` the metrics are the end-to-end ones in
-END_TO_END.  With `--trace 1` an untraced pass over half the time is
-followed by a traced pass over the same inputs, and the metrics are the
-per-function call counts and self times of `tracer.py` plus
-`trace.overhead_ratio`.  The line before it, starting with `report `,
-describes the input mix and the environment.
+`attempted` and `failed` count timed main-band ops, every pass included;
+an op fails if it raises, misses its deadline or fails its oracle, and
+`correct` is false if any oracle disagreed.  With `--trace 0` the metrics
+are the end-to-end ones in END_TO_END: every time is scaled but
+`frontier_latency_s`, which is the wall time up to the deadline, and
+`ops_per_s` is the number of successful inputs over the sum of their
+latencies.  With `--trace 1` one untraced pass over a sample of half the
+size is followed by a traced pass over the same inputs, and the metrics are
+the per-function call counts and self times of `tracer.py`, in wall time,
+plus `trace.overhead_ratio`.  The line before it, starting
+with `report `, describes the input mix, the quartiles of the host speed
+(1 is the nominal speed) and the environment.
 """
 
 import argparse
@@ -30,8 +38,11 @@ import signal
 import statistics
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from time import perf_counter
+
+from hostspeed import HostSpeed, scaled_span
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
@@ -97,25 +108,32 @@ def run_op(workload, inp, deadline):
 
 
 class Tally:
-    """Latencies and failures of a sequence of ops."""
+    """Best latencies and failures of a sample of ops, timed in passes."""
 
     def __init__(self, deadline):
         self.deadline = deadline
-        self.latencies = []
-        self.ok_seconds = 0.0
-        self.ok = 0
+        # Per input: its best time over the passes; a failed input keeps
+        # the time of its failure, at least the deadline.
+        self.best = []
+        self.failed_inputs = set()
+        self.attempted = 0
         self.kinds = {}
         self.mismatches = 0
         self.first_failure = None
 
-    def add(self, inp, elapsed, failure):
+    def add(self, i, inp, failure, elapsed):
+        """Record one timing of input number `i` of the sample."""
+        self.attempted += 1
+        if i == len(self.best):
+            self.best.append(elapsed)
         if failure is None:
-            self.ok += 1
-            self.ok_seconds += elapsed
-            self.latencies.append(elapsed)
+            if i not in self.failed_inputs:
+                self.best[i] = min(self.best[i], elapsed)
             return
-        # A failed op misses every latency limit; it counts at the deadline.
-        self.latencies.append(max(elapsed, self.deadline))
+        if i not in self.failed_inputs:
+            self.failed_inputs.add(i)
+            # A failed op misses every latency limit.
+            self.best[i] = max(elapsed, self.deadline)
         self.kinds[failure] = self.kinds.get(failure, 0) + 1
         if failure == "oracle":
             self.mismatches += 1
@@ -123,12 +141,8 @@ class Tally:
             self.first_failure = {"kind": failure, "input": repr(inp)}
 
     @property
-    def attempted(self):
-        return len(self.latencies)
-
-    @property
     def failed(self):
-        return self.attempted - self.ok
+        return sum(self.kinds.values())
 
 
 def _checked(workload, inp, result, failure):
@@ -140,26 +154,44 @@ def _checked(workload, inp, result, failure):
     return failure
 
 
-def measure(workload, seconds, deadline, keep_results):
-    """Run whole rounds until `seconds` have passed.
+def measure(make_workload, rounds, deadline, passes, keep_results=False):
+    """Time `rounds` rounds of inputs `passes` times; keep each op's best.
 
-    Returns the tally, the input-mix counts and, if `keep_results`, the
-    (input, result) pairs; a run that reports peak RSS keeps none, so the
-    figure does not grow with the number of ops.
+    Every pass rebuilds the workload from its seed, so it times the same
+    inputs in the same order; the first pass also warms up what the library
+    and sympy fill on first use.  Op times are scaled by `HostSpeed`.
+    Returns the tally, the input-mix counts of the sample, the host speeds
+    seen and, if `keep_results`, the (input, result) pairs of the first
+    pass.
     """
     tally = Tally(deadline)
     mix = {"ops": 0, "bands": {}, "traits": {}}
     kept = []
-    start = perf_counter()
-    while perf_counter() - start < seconds:
-        for inp in workload.round():
-            elapsed, result, failure = run_op(workload, inp, deadline)
-            # Oracles run here, outside the timed region.
-            tally.add(inp, elapsed, _checked(workload, inp, result, failure))
-            _count_mix(mix, workload, inp)
-            if keep_results:
-                kept.append((inp, result))
-    return tally, mix, kept
+    failures = []
+    with HostSpeed() as host:
+        for p in range(passes):
+            workload = make_workload()
+            i = 0
+            for _ in range(rounds):
+                for inp in workload.round():
+                    started = host.start()
+                    elapsed, result, failure = run_op(workload, inp, deadline)
+                    host.record(started, elapsed, (i, inp))
+                    # Oracles run here, outside the timed region.
+                    failures.append(_checked(workload, inp, result, failure))
+                    i += 1
+                    if not p:
+                        _count_mix(mix, workload, inp)
+                        if keep_results:
+                            kept.append((inp, result))
+    for ((i, inp), scaled), failure in zip(host.scaled(), failures):
+        tally.add(i, inp, failure, scaled)
+    return tally, mix, host.speeds, kept
+
+
+def sample_rounds(workload, seconds):
+    """Rounds per pass for a run of about `seconds` at the nominal round time."""
+    return max(1, round(seconds / workload.round_s))
 
 
 def _count_mix(mix, workload, inp):
@@ -172,24 +204,26 @@ def _count_mix(mix, workload, inp):
 
 def run_frontier(workload, deadline, tracer=None):
     tally = Tally(deadline)
-    for inp in workload.frontier():
+    for i, inp in enumerate(workload.frontier()):
         elapsed, result, failure = run_op(workload, inp, deadline)
         if tracer is not None:
             tracer.reset_stack()
-        tally.add(inp, elapsed, _checked(workload, inp, result, failure))
+        tally.add(i, inp, _checked(workload, inp, result, failure), elapsed)
     return tally
 
 
 def measure_setup(name, seed, probes):
-    """Seconds from interpreter start to the first op, in fresh processes."""
-    samples = []
-    for _ in range(probes):
-        t0 = perf_counter()
-        done = subprocess.run(
-            [sys.executable, str(BENCH_DIR / "setup_probe.py"), name, str(seed)],
-            capture_output=True, text=True, timeout=120, check=True)
-        samples.append(float(done.stdout.split()[-1]) - t0)
-    return samples
+    """Scaled seconds from interpreter start to the first op, in new processes."""
+    return [scaled_span(partial(_setup_probe, name, seed))
+            for _ in range(probes)]
+
+
+def _setup_probe(name, seed):
+    t0 = perf_counter()
+    done = subprocess.run(
+        [sys.executable, str(BENCH_DIR / "setup_probe.py"), name, str(seed)],
+        capture_output=True, text=True, timeout=120, check=True)
+    return float(done.stdout.split()[-1]) - t0
 
 
 def _git_sha():
@@ -216,6 +250,7 @@ def run_benchmark(name, seed, seconds, trace, deadline=None,
     The per-op deadline defaults to the workload's `deadline_s`.
     """
     workload = prepare(name, seed)
+    make_workload = partial(type(workload), seed)
     deadline = deadline or workload.deadline_s
     import sympy
     signal.signal(signal.SIGALRM, _alarm)
@@ -226,16 +261,19 @@ def run_benchmark(name, seed, seconds, trace, deadline=None,
         "nproc": len(os.sched_getaffinity(0)),
     }
     if not trace:
-        tally, mix, _ = measure(workload, seconds, deadline, False)
+        rounds = sample_rounds(workload, seconds / workload.passes)
+        tally, mix, speeds, _ = measure(
+            make_workload, rounds, deadline, workload.passes)
         frontier = run_frontier(workload, deadline)
         setup = measure_setup(name, seed, setup_probes)
-        lat = tally.latencies
+        lat = tally.best
+        ok = [t for i, t in enumerate(lat) if i not in tally.failed_inputs]
         metrics = {
-            "ops_per_s": tally.ok / tally.ok_seconds if tally.ok_seconds else 0.0,
+            "ops_per_s": len(ok) / sum(ok) if ok else 0.0,
             "latency_p50_ms": statistics.median(lat) * 1e3,
             "latency_p90_ms": statistics.quantiles(lat, n=10)[-1] * 1e3
             if len(lat) > 1 else lat[0] * 1e3,
-            "frontier_latency_s": statistics.median(frontier.latencies),
+            "frontier_latency_s": statistics.median(frontier.best),
             "setup_s": statistics.median(setup),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             / 1024,
@@ -245,25 +283,30 @@ def run_benchmark(name, seed, seconds, trace, deadline=None,
         correct = tally.mismatches == 0 and frontier.mismatches == 0
     else:
         from tracer import Tracer, metric_names
-        tally_untraced, mix, ops = measure(workload, seconds / 2, deadline,
-                                           True)
+        rounds = sample_rounds(workload, seconds / 2)
+        tally_untraced, mix, speeds, ops = measure(
+            make_workload, rounds, deadline, 1, keep_results=True)
+        # The traced replay is timed in wall time; the untraced pass, scaled,
+        # is compared with it at the run's median host speed.
+        host_scale = statistics.median(speeds)
         tally = Tally(deadline)
-        traced_seconds = 0.0
         with Tracer() as tracer:
-            for inp, expected in ops:
+            for i, (inp, expected) in enumerate(ops):
                 elapsed, result, failure = run_op(workload, inp, deadline)
                 tracer.reset_stack()
                 if failure is None and result != expected:
                     failure = "traced_result_differs"
-                tally.add(inp, elapsed, failure)
-                traced_seconds += elapsed
+                tally.add(i, inp, failure, elapsed)
             frontier = run_frontier(workload, deadline, tracer)
         metrics = tracer.metrics()
-        metrics["trace.overhead_ratio"] = traced_seconds / sum(
-            tally_untraced.latencies)
+        metrics["trace.overhead_ratio"] = sum(tally.best) * host_scale / sum(
+            tally_untraced.best)
         units = dict(metric_names()) | {"trace.overhead_ratio": "ratio"}
         correct = (tally_untraced.mismatches == 0 and frontier.mismatches == 0
                    and "traced_result_differs" not in tally.kinds)
+    report["host_speed"] = statistics.quantiles(speeds, n=4) \
+        if len(speeds) > 1 else speeds
+    report["rounds"] = rounds
     report["bands"] = {k: v / mix["ops"] for k, v in sorted(mix["bands"].items())}
     report["traits"] = {k: v / mix["ops"]
                         for k, v in sorted(mix["traits"].items())}

@@ -27,7 +27,7 @@ def tiny(monkeypatch):
     monkeypatch.setattr(workloads.Redei, "round_size", 8)
     monkeypatch.setattr(workloads.Pairing, "cells", [(1, 2), (2, 2)])
     monkeypatch.setattr(workloads.Presentations, "cells",
-                        {4: (None, 2), 5: (257, 1)})
+                        {4: (5, 2, 2, 3), 5: (257, 1, 5, 1)})
 
 
 @pytest.mark.parametrize("name", [w["name"] for w in SPEC["workloads"]])

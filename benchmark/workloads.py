@@ -9,7 +9,9 @@ returns None or a description of the mismatch.  `frontier` gives inputs at
 sizes the library is known not to finish.  Every op runs under the
 workload's `deadline_s`, at least three times its slowest main-band op when
 the benchmark was written, so a seed fails the same ops on every run; then
-every frontier op ran into it.
+every frontier op ran into it.  `round_s` is a round's wall time, oracles
+included, on a 2-core host when the benchmark was written; with `passes`,
+how often a run times its sample, it sizes the sample.
 """
 
 import bisect
@@ -58,6 +60,8 @@ class Redei:
 
     name = "redei"
     deadline_s = 2.0
+    round_s = 0.17
+    passes = 3
     round_size = 256
     swap_every = 16
     lo, hi = 10 ** 2, 10 ** 4
@@ -151,6 +155,8 @@ class Pairing:
 
     name = "pairing"
     deadline_s = 4.0
+    round_s = 3.0
+    passes = 2
     cells = [(n, q) for n in (1, 2, 3) for q in (2, 4)]
 
     def __init__(self, seed):
@@ -250,34 +256,35 @@ class Presentations:
 
     A round holds every (n, central-or-random) cell once.  Everything that
     sets an op's cost is fixed per cell, so each run's latency percentiles
-    fall on the same cells whatever the seed: the modulus class (65537
-    makes `Relator.linktype` build tau'^q one letter at a time), the power
-    of the central word, alpha = 1 and the random word's length 2n.  The
-    seed draws the small modulus, the sigma slot, tau', the random words
+    fall on the same cells whatever the seed: the modulus (65537 makes
+    `Relator.linktype` build tau'^q one letter at a time; the small prime
+    powers are spread over the cells), the power of the central word, the
+    sigma slot and tau' (together they change an op's time up to fivefold),
+    alpha = 1 and the random word's length 2n.  Slots and tau' are spread
+    over first, middle and last positions.  The seed draws the random words
     and the Magnus index.
     """
 
     name = "presentations"
-    deadline_s = 8.0
-    # n -> (modulus class, power of the central word); None is a small q.
-    cells = {4: (65537, 2), 5: (None, 2), 6: (257, 2), 7: (65537, 2),
-             8: (None, 2), 9: (None, 1), 10: (257, 1), 11: (None, 1),
-             12: (None, 1)}
-    small_q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32)
+    deadline_s = 6.0
+    round_s = 5.8
+    passes = 1
+    # n -> (modulus, power of the central word, sigma slot, tau' index),
+    # slot and tau' counted from 1.
+    cells = {4: (65537, 2, 2, 3), 5: (9, 2, 1, 5), 6: (257, 2, 6, 1),
+             7: (65537, 2, 4, 7), 8: (8, 2, 8, 2), 9: (5, 1, 5, 9),
+             10: (257, 1, 1, 6), 11: (3, 1, 11, 4), 12: (2, 1, 7, 12)}
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
 
-    def _case(self, n, q, e, central):
+    def _case(self, n, q, e, slot_label, tau_label, central):
         r = self.rng
-        if q is None:
-            q = r.choice([p for p in self.small_q
-                          if p ** (n * (n - 1) // 2) > 4096])
         taus = tuple(f"t{i}" for i in range(1, n + 1))
-        slot = r.randrange(n)
-        sigma = f"s{slot + 1}"
+        slot = slot_label - 1
+        sigma = f"s{slot_label}"
         z_text, z_syllables = balanced_commutator(taus)
-        tau_prime = r.choice(taus)
+        tau_prime = taus[tau_label - 1]
         while True:
             if central:
                 sigma_text = f"{z_text}^{e}"
@@ -306,14 +313,15 @@ class Presentations:
                                 z_text, tuple(z_syllables), index)
 
     def round(self):
-        cases = [self._case(n, q, e, central)
-                 for n, (q, e) in self.cells.items() for central in (True, False)]
+        cases = [self._case(n, *cell, central)
+                 for n, cell in self.cells.items() for central in (True, False)]
         self.rng.shuffle(cases)
         return cases
 
     def frontier(self):
-        return [self._case(self.rng.choice(list(self.cells)), FRONTIER_Q, 1,
-                           True)]
+        n = self.rng.choice(list(self.cells))
+        _, _, slot, tau_prime = self.cells[n]
+        return [self._case(n, FRONTIER_Q, 1, slot, tau_prime, True)]
 
     def op(self, c):
         pres = linking.parse_presentation(c.text)
@@ -372,8 +380,7 @@ class Presentations:
         return None
 
     def band(self, c):
-        q_class = c.q if c.q in (257, 65537) else "small"
-        return f"n={c.n},q={q_class}"
+        return f"n={c.n},q={c.q}"
 
     def traits(self, c):
         return {"globalizes": c.central}
