@@ -226,8 +226,12 @@ def redei_symbol(p1, p2, p3, solution=None):
     if legendre(p1, p3) != 1 or legendre(p2, p3) != 1:
         raise InputError(f"({p1}/{p3}) and ({p2}/{p3}) must both be +1")
     if solution is None:
-        solution = next(sol for sol in iter_conic_solutions(p1, p2)
-                        if sol.z % p3 != 0)
+        solution = next((sol for sol in iter_conic_solutions(p1, p2)
+                         if sol.z % p3 != 0), None)
+        if solution is None:
+            raise SearchBoundError(
+                f"no conic solution for ({p1}, {p2}) with z prime to {p3} "
+                f"within the shell bound")
     elif solution.z % p3 == 0:
         raise InputError("supplied conic solution has z divisible by p3")
     s = sqrt_mod(p1, p3)

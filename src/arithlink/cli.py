@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: symbol, solve, magnus, verify.  Exit codes: 0 ok, 1 for a
-mathematical obstruction or failed verification, 2 for usage/parse errors.
+mathematical obstruction, failed verification, exhausted search bound or
+internal inconsistency, 2 for usage/parse errors.
 Output is deterministic; --json switches to a machine-readable rendering
 with the same values.
 """
@@ -11,7 +12,8 @@ import json
 import sys
 
 from . import arithmetic, linking, verify
-from .errors import InputError, ParseError
+from .errors import (ConsistencyError, InputError, ParseError,
+                     SearchBoundError)
 from .magnus import eps, magnus_matrix
 from .rings import ResidueRing
 from .unitriangular import filtration_depth
@@ -180,6 +182,9 @@ def main(argv=None):
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_EXIT
+    except (ConsistencyError, SearchBoundError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return OBSTRUCTION_EXIT
 
 
 if __name__ == "__main__":

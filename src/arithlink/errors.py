@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: bad input is a usage error (2),
-mathematical failures (obstructions, failed preconditions) exit with 1.
+The CLI maps these onto exit codes: bad input, failed preconditions
+included, is a usage error (2); an exhausted search bound or an internal
+inconsistency exits with 1, as obstructions do.
 """
 
 

@@ -11,7 +11,8 @@ invariant generalizing the Legendre and Redei symbols.
 from dataclasses import dataclass
 
 from . import unitriangular as ut
-from .errors import CompatibilityError, InputError, ParseError, PreconditionError
+from .errors import (CompatibilityError, ConsistencyError, InputError,
+                     ParseError, PreconditionError)
 from .rings import ResidueRing
 from .words import GroupWord, commutator, format_word, parse_word
 
@@ -169,13 +170,14 @@ def _normalized_assignment(pres):
     return assignment
 
 
-def build_globalization(pres, closure_limit=4096):
+def build_globalization(pres):
     """The unique candidate globalization, or the obstruction that kills it.
 
     Slot l's tau generator goes to Id + E_{l,l+1}; sigma generators to the
     images of their words.  Success requires every relator to evaluate to the
-    identity.  Surjectivity is asserted by closure generation whenever the
-    target group is small enough to enumerate.
+    identity.  Surjectivity onto U_n is checked at every group order by
+    `unitriangular.generates` (superdiagonal rank over F_p); a failure raises
+    ConsistencyError.
     """
     assignment = _normalized_assignment(pres)
     shape = ut.ConvexShape.full(pres.n)
@@ -186,13 +188,10 @@ def build_globalization(pres, closure_limit=4096):
             failures.append((rel, image, ut.filtration_depth(image)))
     if failures:
         return Obstruction(tuple(failures))
-    glob = Globalization(pres.n, pres.ring, tuple(assignment.items()))
-    order = pres.ring.q ** (pres.n * (pres.n + 1) // 2)
-    if order <= closure_limit:
-        gens = [glob.matrix(t) for t in pres.tau_labels()]
-        generated = ut.closure(gens, shape, pres.ring)
-        assert len(generated) == order, "tau images failed to generate U_n"
-    return glob
+    taus = [assignment[t] for t in pres.tau_labels()]
+    if not ut.generates(taus, pres.n, pres.ring):
+        raise ConsistencyError("tau images failed to generate U_n")
+    return Globalization(pres.n, pres.ring, tuple(assignment.items()))
 
 
 def check_link_type_vanishing(pres):

@@ -1,6 +1,8 @@
 """The coefficient ring Z/q for a prime power q."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from sympy import isprime, perfect_power
 
 from .errors import InputError
 
@@ -8,29 +10,15 @@ _WORD_LIMIT = 1 << 64
 
 
 def _prime_power_base(q):
-    """Return (p, s) with q = p**s, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    p = None
-    m = q
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            p = d
-            while m % d == 0:
-                m //= d
-            break
-        d += 1
-    if p is None:
-        p = q  # q itself is prime
-    s = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        s += 1
-    if m != 1:
-        return None
-    return p, s
+    """Return the prime p with q = p**s, or None if q is not a prime power."""
+    if isprime(q):
+        return q
+    # perfect_power picks the largest exponent, so its base is a prime
+    # exactly when q is a prime power.
+    power = perfect_power(q)
+    if power and isprime(power[0]):
+        return int(power[0])
+    return None
 
 
 @dataclass(frozen=True)
@@ -38,18 +26,17 @@ class ResidueRing:
     """Integers modulo q, where q = p**s is a prime power, 2 <= q < 2**64."""
 
     q: int
+    p: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 2:
             raise InputError(f"modulus must be an integer >= 2, got {self.q!r}")
-        if self.q > _WORD_LIMIT:
-            raise InputError(f"modulus {self.q} exceeds the machine-word bound 2**64")
-        if _prime_power_base(self.q) is None:
+        if self.q >= _WORD_LIMIT:
+            raise InputError(f"modulus {self.q} is not below the machine-word bound 2**64")
+        p = _prime_power_base(self.q)
+        if p is None:
             raise InputError(f"modulus {self.q} is not a prime power")
-
-    @property
-    def p(self):
-        return _prime_power_base(self.q)[0]
+        object.__setattr__(self, "p", p)
 
     def reduce(self, a):
         return a % self.q

@@ -282,11 +282,6 @@ def lower_right(a, m):
     return project_window(a, range(lo, n + 2), sub)
 
 
-def pr_entry(a, k, l):
-    """The (k, l) coordinate; for l = k+1 this is a homomorphism to Z/q."""
-    return a.entry(k, l)
-
-
 # ---------------------------------------------------------------------------
 # fiber product structure
 
@@ -374,7 +369,7 @@ def iter_group(shape, ring):
         yield from_entries(shape, ring, dict(zip(off, values)))
 
 
-def closure(generators, shape, ring, limit=None):
+def closure(generators, shape, ring):
     """Subgroup generated by `generators` under mul, as a set of matrices."""
     seen = {identity(shape, ring)}
     frontier = list(seen)
@@ -386,12 +381,40 @@ def closure(generators, shape, ring, limit=None):
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)
-                    if limit is not None and len(seen) > limit:
-                        raise SearchExhausted(limit)
         frontier = nxt
     return seen
 
 
-class SearchExhausted(RuntimeError):
-    def __init__(self, limit):
-        super().__init__(f"closure exceeded limit {limit}")
+# ---------------------------------------------------------------------------
+# generation
+
+
+def generates(generators, n, ring):
+    """True iff `generators` generate the full unitriangular group U_n.
+
+    U_n over Z/p^s is a finite p-group whose Frattini quotient is F_p^n, read
+    off the superdiagonal.  By the Burnside basis theorem (M. Hall, The Theory
+    of Groups, Thm 12.2.1) a set generates U_n iff its superdiagonal rows mod
+    p span F_p^n; this is checked by Gaussian elimination over F_p, at a cost
+    of O(n^2) per generator instead of enumerating the group.
+    """
+    shape = ConvexShape.full(n)
+    p = ring.p
+    rows = []
+    for g in generators:
+        if g.shape != shape or g.ring != ring:
+            raise CompatibilityError("generators must be full matrices over the ring")
+        rows.append([g.entry(l, l + 1) % p for l in range(1, n + 1)])
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inv % p
+            if factor:
+                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank == n

@@ -11,7 +11,8 @@ from sympy import primerange
 from . import unitriangular as ut
 from .arithmetic import legendre, legendre_euler
 from .linking import (Globalization, LinkPresentation, Relator, Slot,
-                      hoechsmann_pairing, linking_invariant)
+                      build_globalization, hoechsmann_pairing,
+                      linking_invariant)
 from .magnus import eps, magnus_matrix
 from .rings import ResidueRing
 from .words import GroupWord, commutator
@@ -139,7 +140,6 @@ def verify_pairing(n=2, q=2, samples=100, seed=0):
 
 
 def _plain_globalization(pres):
-    from .linking import build_globalization
     glob = build_globalization(pres)
     if not isinstance(glob, Globalization):
         raise AssertionError("fixture presentation unexpectedly obstructed")

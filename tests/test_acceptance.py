@@ -213,6 +213,7 @@ def test_criterion_6_globalization_uniqueness():
             gens = [built.matrix(f"t{l}") for l in range(1, n + 1)]
             assert len(ut.closure(gens, shape, ring)) == \
                 2 ** (n * (n + 1) // 2)
+            assert ut.generates(gens, n, ring)
 
 
 def _commutator_sigma(rng, labels):

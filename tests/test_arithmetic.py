@@ -1,6 +1,7 @@
 import pytest
 from sympy import nextprime
 
+from arithlink import arithmetic
 from arithlink.arithmetic import (ConicSolution, SymbolResult,
                                   class_number_gate, format_symbol_result,
                                   iter_conic_solutions, jacobi, legendre,
@@ -9,7 +10,7 @@ from arithlink.arithmetic import (ConicSolution, SymbolResult,
                                   ordering_extends_to_quadratic,
                                   ramifies_in_quadratic, redei_solve_conic,
                                   redei_symbol, single_globalization_exists)
-from arithlink.errors import ConsistencyError, InputError
+from arithlink.errors import ConsistencyError, InputError, SearchBoundError
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +225,22 @@ def test_redei_rejects_solution_with_bad_z():
     sol = next(s for s in iter_conic_solutions(5, 61) if s.z % 41 == 0)
     with pytest.raises(InputError):
         redei_symbol(5, 61, 41, solution=sol)
+
+
+def test_redei_raises_search_bound_when_no_solution_found(monkeypatch):
+    monkeypatch.setattr(arithmetic, "iter_conic_solutions",
+                        lambda p1, p2: iter(()))
+    with pytest.raises(SearchBoundError):
+        redei_symbol(5, 41, 61)
+
+
+def test_redei_raises_search_bound_when_every_z_divisible_by_p3(monkeypatch):
+    # real normalized solutions of x^2 - 5y^2 - 41z^2 = 0, both with z = 61
+    bad = [ConicSolution(5, 41, -391, 8, 61), ConicSolution(5, 41, -479, 124, 61)]
+    monkeypatch.setattr(arithmetic, "iter_conic_solutions",
+                        lambda p1, p2: iter(bad))
+    with pytest.raises(SearchBoundError):
+        redei_symbol(5, 41, 61)
 
 
 def test_n2_invariant_golden():

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from arithlink import arithmetic
+from arithlink import unitriangular as ut
 from arithlink.cli import main
 
 
@@ -114,6 +116,23 @@ def test_solve_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+def test_solve_consistency_error_exit_one(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "good.pres"
+    path.write_text(GOOD)
+    monkeypatch.setattr(ut, "generates", lambda gens, n, ring: False)
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "failed to generate" in err
+
+
+def test_symbol_search_bound_exit_one(capsys, monkeypatch):
+    monkeypatch.setattr(arithmetic, "iter_conic_solutions",
+                        lambda p1, p2: iter(()))
+    code, out, err = run(capsys, "symbol", "redei", "5", "41", "61")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "no conic solution" in err
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from arithlink import unitriangular as ut
-from arithlink.errors import (CompatibilityError, InputError, ParseError,
-                              PreconditionError)
+from arithlink.errors import (CompatibilityError, ConsistencyError,
+                              InputError, ParseError, PreconditionError)
 from arithlink.linking import (Globalization, LinkPresentation, Obstruction,
                                Relator, Slot, build_globalization,
                                check_link_type_vanishing, eval_word,
@@ -115,6 +115,20 @@ def test_build_obstruction_reports_depth():
     assert depth == 2
     assert image.entry(1, 3) != 0
     assert "depth 2" in out.describe()
+
+
+def test_generation_check_runs_above_old_enumeration_limit(monkeypatch):
+    # |U_5| over Z/2 is 2**15, too large to enumerate; the check still runs
+    pres = LinkPresentation(R2, 5, tuple(Slot(f"t{l}") for l in range(1, 6)))
+    calls = []
+    real = ut.generates
+    monkeypatch.setattr(ut, "generates",
+                        lambda *args: calls.append(args) or real(*args))
+    assert isinstance(build_globalization(pres), Globalization)
+    assert len(calls) == 1
+    monkeypatch.setattr(ut, "generates", lambda gens, n, ring: False)
+    with pytest.raises(ConsistencyError, match="failed to generate"):
+        build_globalization(pres)
 
 
 def test_build_uniqueness_by_enumeration_n2():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -125,6 +126,85 @@ def test_generation_count(n, q, size):
     ring = ResidueRing(q)
     gens = [ut.elementary(full(n), k, k + 1, 1, ring) for k in range(1, n + 1)]
     assert len(ut.closure(gens, full(n), ring)) == size
+    assert ut.generates(gens, n, ring)
+
+
+def _order_generated(table, start, gens):
+    """Size of the subgroup generated by `gens` (indices into a Cayley table)."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = table[a][g]
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return len(seen)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_generates_matches_closure_on_all_pairs(n, q):
+    # Exhaustive over ordered pairs; the closure runs on a Cayley table built
+    # with ut.mul, so U_2 over Z/4 (4096 pairs) stays fast.
+    ring = ResidueRing(q)
+    group = list(ut.iter_group(full(n), ring))
+    index = {m: i for i, m in enumerate(group)}
+    table = [[index[ut.mul(a, b)] for b in group] for a in group]
+    start = index[ut.identity(full(n), ring)]
+    outcomes = set()
+    for i, j in itertools.product(range(len(group)), repeat=2):
+        expected = _order_generated(table, start, (i, j)) == len(group)
+        assert ut.generates([group[i], group[j]], n, ring) == expected, \
+            (group[i].data, group[j].data)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_generates_matches_closure_on_random_sets():
+    rng = random.Random(5)
+    n, ring = 3, R2
+    outcomes = set()
+    for _ in range(40):
+        gens = [random_matrix(rng, full(n), ring)
+                for _ in range(rng.randrange(n + 2))]
+        expected = len(ut.closure(gens, full(n), ring)) == 2 ** 6
+        assert ut.generates(gens, n, ring) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_missing_generator_does_not_generate(q):
+    ring = ResidueRing(q)
+    gens = [ut.elementary(full(3), k, k + 1, 1, ring) for k in (1, 2, 3)]
+    for drop in range(3):
+        rest = gens[:drop] + gens[drop + 1:]
+        assert len(ut.closure(rest, full(3), ring)) < q ** 6
+        assert not ut.generates(rest, 3, ring)
+
+
+@pytest.mark.parametrize("q,r", [(4, 2), (9, 3)])
+def test_superdiagonal_entry_divisible_by_p_does_not_generate(q, r):
+    ring = ResidueRing(q)
+    gens = [ut.elementary(full(2), 1, 2, r, ring),
+            ut.elementary(full(2), 2, 3, 1, ring)]
+    assert len(ut.closure(gens, full(2), ring)) < q ** 3
+    assert not ut.generates(gens, 2, ring)
+    unit = [ut.from_entries(full(2), ring, {(1, 2): r + 1, (1, 3): r}),
+            gens[1]]
+    assert len(ut.closure(unit, full(2), ring)) == q ** 3
+    assert ut.generates(unit, 2, ring)
+
+
+def test_generates_rejects_mismatched_generators():
+    with pytest.raises(CompatibilityError):
+        ut.generates([ut.elementary(full(2), 1, 2, 1, R2)], 3, R2)
+    with pytest.raises(CompatibilityError):
+        ut.generates([ut.elementary(full(2), 1, 2, 1, R4)], 2, R2)
 
 
 # ---------------------------------------------------------------------------
