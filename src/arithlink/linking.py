@@ -14,6 +14,7 @@ from . import unitriangular as ut
 from .errors import (CompatibilityError, ConsistencyError, InputError,
                      ParseError, PreconditionError)
 from .rings import ResidueRing
+from .unitriangular import eval_word
 from .words import GroupWord, commutator, format_word, parse_word
 
 
@@ -95,12 +96,6 @@ class LinkPresentation:
     def sigma_word(self, label):
         return dict(self.sigma_words).get(label, GroupWord.identity())
 
-    def slot_of_tau(self, label):
-        for l, s in enumerate(self.slots, start=1):
-            if s.tau == label:
-                return l
-        raise InputError(f"no slot with tau label {label!r}")
-
 
 # ---------------------------------------------------------------------------
 # globalizations
@@ -126,18 +121,6 @@ class Globalization:
     def __call__(self, word):
         return eval_word(dict(self.assignment), word,
                          ut.ConvexShape.full(self.n), self.ring)
-
-
-def eval_word(assignment, word, shape, ring):
-    """Evaluate a word under a label -> matrix assignment."""
-    result = ut.identity(shape, ring)
-    for label, exp in word.syllables:
-        try:
-            mat = assignment[label]
-        except KeyError:
-            raise InputError(f"generator {label!r} has no assigned matrix") from None
-        result = ut.mul(result, ut.matpow(mat, exp))
-    return result
 
 
 @dataclass(frozen=True)
@@ -170,6 +153,23 @@ def _normalized_assignment(pres):
     return assignment
 
 
+def _relator_failures(assignment, relators, shape, ring):
+    """Yield (relator, image, filtration depth) for each relator that survives."""
+    for rel in relators:
+        image = eval_word(assignment, rel.word, shape, ring)
+        if not image.is_identity():
+            yield rel, image, ut.filtration_depth(image)
+
+
+def _require_central(image, what):
+    """Raise PreconditionError naming the first entry of `image` off its corner."""
+    corner = (1, image.n + 1)
+    for pair, v in image.data:
+        if pair != corner:
+            raise PreconditionError(
+                f"{what} lies outside the center: entry {pair} = {v}")
+
+
 def build_globalization(pres):
     """The unique candidate globalization, or the obstruction that kills it.
 
@@ -180,14 +180,10 @@ def build_globalization(pres):
     ConsistencyError.
     """
     assignment = _normalized_assignment(pres)
-    shape = ut.ConvexShape.full(pres.n)
-    failures = []
-    for rel in pres.relators:
-        image = eval_word(assignment, rel.word, shape, pres.ring)
-        if not image.is_identity():
-            failures.append((rel, image, ut.filtration_depth(image)))
+    failures = tuple(_relator_failures(assignment, pres.relators,
+                                       ut.ConvexShape.full(pres.n), pres.ring))
     if failures:
-        return Obstruction(tuple(failures))
+        return Obstruction(failures)
     taus = [assignment[t] for t in pres.tau_labels()]
     if not ut.generates(taus, pres.n, pres.ring):
         raise ConsistencyError("tau images failed to generate U_n")
@@ -206,26 +202,15 @@ def check_link_type_vanishing(pres):
         if rel.schema != "linktype":
             raise InputError("vanishing check applies to link-type relators only")
     assignment = _normalized_assignment(pres)
-    shape = ut.ConvexShape.full(pres.n)
-    for slot in pres.slots:
-        if slot.sigma is None:
-            continue
-        image = eval_word(assignment, pres.sigma_word(slot.sigma),
-                          shape, pres.ring)
-        if ut.filtration_depth(image) < pres.n:
-            return False
-    return True
+    return all(ut.filtration_depth(assignment[slot.sigma]) >= pres.n
+               for slot in pres.slots if slot.sigma is not None)
 
 
 def linking_invariant(glob, z_word):
     """Corner entry of the image of z_word; requires the image central."""
     image = glob(z_word)
-    n = glob.n
-    for (k, l), v in image.data:
-        if (k, l) != (1, n + 1):
-            raise PreconditionError(
-                f"image of word lies outside the center: entry {(k, l)} = {v}")
-    return image.entry(1, n + 1)
+    _require_central(image, "image of word")
+    return image.entry(1, glob.n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +250,12 @@ def restrict_presentation(pres, side):
 
 
 def fiber_lift(g1, g2, pres):
-    """Glue globalizations over the two size-(n-1) windows into one over U_n.
+    """Lift globalizations over the two size-(n-1) windows to one over U_n.
 
-    g1 covers slots 1..n-1, g2 covers slots 2..n.  Their tau images must
-    agree on the overlap window, and their sigma-word images must be trivial.
-    The glued assignment is validated against the full presentation, and the
-    resulting sigma images are checked to land in the central subgroup V_n.
+    g1 covers slots 1..n-1, g2 covers slots 2..n; each must send its taus to
+    Id + E_{l,l+1} and its sigma words to Id.  Such windows glue to the taus
+    of `build_globalization`, so the lift is its result, an Obstruction
+    included; the lifted sigma images must be central.
     """
     n = pres.n
     if n < 2:
@@ -278,58 +263,26 @@ def fiber_lift(g1, g2, pres):
     if g1.n != n - 1 or g2.n != n - 1:
         raise CompatibilityError(
             f"window globalizations must live in U_{n - 1}")
-    m = n - 1
-    t = n - 2
-    shape_m = ut.ConvexShape.full(m)
-
-    upper = restrict_presentation(pres, "upper")
-    lower = restrict_presentation(pres, "lower")
-    for sub, g in ((upper, g1), (lower, g2)):
+    shape_m = ut.ConvexShape.full(n - 1)
+    for side, g in (("upper", g1), ("lower", g2)):
+        sub = restrict_presentation(pres, side)
         for l, slot in enumerate(sub.slots, start=1):
             expect = ut.elementary(shape_m, l, l + 1, 1, pres.ring)
             if g.matrix(slot.tau) != expect:
                 raise CompatibilityError(
                     f"tau generator {slot.tau!r} is not normalized in its window")
         for slot in sub.slots:
-            if slot.sigma is None:
-                continue
-            image = g(sub.sigma_word(slot.sigma))
-            if not image.is_identity():
+            if slot.sigma is not None and \
+                    not g(sub.sigma_word(slot.sigma)).is_identity():
                 raise PreconditionError(
                     f"sigma word of {slot.sigma!r} is not trivial in the window")
-    if t >= 1:
-        for slot in pres.slots[1:-1]:
-            if ut.lower_right(g1.matrix(slot.tau), t) != \
-                    ut.upper_left(g2.matrix(slot.tau), t):
-                raise CompatibilityError(
-                    f"overlap windows disagree on generator {slot.tau!r}")
-
-    shape_n = ut.ConvexShape.full(n)
-    assignment = {}
-    for l, slot in enumerate(pres.slots, start=1):
-        m1_mat = g1.matrix(slot.tau) if l <= m else ut.identity(shape_m, pres.ring)
-        m2_mat = g2.matrix(slot.tau) if l >= 2 else ut.identity(shape_m, pres.ring)
-        assignment[slot.tau] = ut.fiber_glue(m1_mat, m2_mat, n)
-    for slot in pres.slots:
-        if slot.sigma is not None:
-            assignment[slot.sigma] = eval_word(
-                assignment, pres.sigma_word(slot.sigma), shape_n, pres.ring)
-
-    failures = []
-    for rel in pres.relators:
-        image = eval_word(assignment, rel.word, shape_n, pres.ring)
-        if not image.is_identity():
-            failures.append((rel, image, ut.filtration_depth(image)))
-    if failures:
-        return Obstruction(tuple(failures))
-    for slot in pres.slots:
-        if slot.sigma is None:
-            continue
-        image = assignment[slot.sigma]
-        if ut.filtration_depth(image) < n:
-            raise PreconditionError(
-                f"lifted sigma image of {slot.sigma!r} escapes the center")
-    return Globalization(n, pres.ring, tuple(assignment.items()))
+    glob = build_globalization(pres)
+    if isinstance(glob, Globalization):
+        for slot in pres.slots:
+            if slot.sigma is not None:
+                _require_central(glob.matrix(slot.sigma),
+                                 f"lifted sigma image of {slot.sigma!r}")
+    return glob
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +299,10 @@ def hoechsmann_pairing(g_star, rel):
     if rel.schema != "linktype":
         raise InputError("pairing is defined for link-type relators")
     n = g_star.n - 1
-    sigma_image = g_star(GroupWord.generator(rel.sigma))
-    restricted = ut.upper_left(sigma_image, n) if n >= 1 else None
-    if restricted is not None:
-        for (k, l), v in restricted.data:
-            if (k, l) != (1, n + 1):
-                raise PreconditionError(
-                    f"restricted sigma image is not central: entry {(k, l)} = {v}")
-    image = g_star(rel.word)
-    return image.entry(1, n + 2)
+    if n >= 1:
+        _require_central(ut.upper_left(g_star.matrix(rel.sigma), n),
+                         "restricted sigma image")
+    return g_star(rel.word).entry(1, n + 2)
 
 
 def massey_coordinates(assignment, pres):
@@ -370,11 +318,10 @@ def massey_coordinates(assignment, pres):
         if mat.shape != shape:
             raise InputError("assignment matrices must live over the truncated shape")
     assignment = dict(assignment)
-    for rel in pres.relators:
-        image = eval_word(assignment, rel.word, shape, pres.ring)
-        if not image.is_identity():
-            raise InputError(
-                f"relator {format_word(rel.word)} does not vanish in the quotient")
+    for rel, _, _ in _relator_failures(assignment, pres.relators, shape,
+                                       pres.ring):
+        raise InputError(
+            f"relator {format_word(rel.word)} does not vanish in the quotient")
 
     def coordinate(l):
         def phi(word):
@@ -401,7 +348,7 @@ def parse_presentation(text):
     slot <l> tau=<label> [sigma=<label>]
     sigma <label> = <group-word>
     rel <group-word>
-    rel linktype tau'=<label> alpha=<int> tau=<label> sigma=<label>
+    rel linktype tau'=<label> alpha=<int> tau=<label> sigma=<label> [tau_exp=<int>]
 
     '#' starts a comment.
     """
@@ -455,7 +402,7 @@ def parse_presentation(text):
             kv = _keyvals(spec[len("linktype"):])
             relators.append(Relator.linktype(
                 kv.pop("tau'"), int(kv.pop("alpha")), kv.pop("tau"),
-                kv.pop("sigma"), q))
+                kv.pop("sigma"), q, tau_exp=int(kv.pop("tau_exp", 1))))
             if kv:
                 raise ParseError(f"unknown linktype fields {sorted(kv)}")
         else:
@@ -485,8 +432,9 @@ def format_presentation(pres):
         lines.append(f"sigma {name} = {format_word(w)}")
     for rel in pres.relators:
         if rel.schema == "linktype":
+            exp = f" tau_exp={rel.tau_exp}" if rel.tau_exp != 1 else ""
             lines.append(f"rel linktype tau'={rel.tau_prime} alpha={rel.alpha} "
-                         f"tau={rel.tau} sigma={rel.sigma}")
+                         f"tau={rel.tau} sigma={rel.sigma}{exp}")
         else:
             lines.append(f"rel {format_word(rel.word)}")
     return "\n".join(lines) + "\n"

@@ -3,14 +3,15 @@
 Free generators map to 1-units via tau_j -> 1 + x_j; the coefficient of a
 monomial x_{i_1}...x_{i_m} in the image of a word recovers its linking data,
 and arranging those coefficients in a triangle gives a homomorphism into the
-unitriangular group.
+unitriangular group.  `magnus_matrix` and `eps` compute that homomorphism
+directly in U_n; the series algebra is kept as their reference oracle.
 """
 
 from dataclasses import dataclass
 
 from .errors import CompatibilityError, InputError
 from .rings import ResidueRing
-from .unitriangular import ConvexShape, from_entries
+from .unitriangular import ConvexShape, eval_word, from_entries
 
 
 @dataclass(frozen=True)
@@ -131,24 +132,36 @@ def magnus_eval(word, degree, ring):
     return result
 
 
-def eps(word, letters, ring):
-    """Magnus coefficient of x_{letters} in the image of `word`."""
-    letters = tuple(letters)
-    return magnus_eval(word, len(letters), ring).coefficient(letters)
-
-
-def magnus_matrix(word, index, ring):
-    """Arrange Magnus coefficients of `word` along the index tuple as a matrix.
-
-    For index (i_1, ..., i_n) the (l, k) entry is the coefficient of
-    x_{i_l}...x_{i_{k-1}}; the assignment word -> matrix is a homomorphism
-    into U_n, and its corner entry is eps(word, index).
-    """
+def series_matrix(word, index, ring):
+    """magnus_matrix read off magnus_eval's coefficients: its reference oracle."""
     index = tuple(index)
     n = len(index)
     series = magnus_eval(word, n, ring)
-    entries = {}
-    for l in range(1, n + 1):
-        for k in range(l + 1, n + 2):
-            entries[(l, k)] = series.coefficient(index[l - 1:k - 1])
+    entries = {(l, k): series.coefficient(index[l - 1:k - 1])
+               for l in range(1, n + 1) for k in range(l + 1, n + 2)}
     return from_entries(ConvexShape.full(n), ring, entries)
+
+
+def magnus_matrix(word, index, ring):
+    """Magnus coefficients of `word` along the index tuple, as a matrix in U_n.
+
+    For index (i_1, ..., i_n) the (l, k) entry is the coefficient of
+    x_{i_l}...x_{i_{k-1}}.  It is computed through the homomorphism into U_n
+    that sends generator t_j to Id + sum of E_{l,l+1} over the positions l
+    with i_l = j; generators outside the index go to Id and are dropped first.
+    """
+    index = tuple(index)
+    shape = ConvexShape.full(len(index))
+    images = {}
+    for l, label in enumerate(index, start=1):
+        images.setdefault(label, {})[(l, l + 1)] = 1
+    assignment = {label: from_entries(shape, ring, entries)
+                  for label, entries in images.items()}
+    return eval_word(assignment, word.drop(word.labels() - set(index)),
+                     shape, ring)
+
+
+def eps(word, letters, ring):
+    """Magnus coefficient of x_{letters} in the image of `word`: the corner."""
+    letters = tuple(letters)
+    return magnus_matrix(word, letters, ring).entry(1, len(letters) + 1)

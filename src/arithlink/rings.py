@@ -38,17 +38,5 @@ class ResidueRing:
             raise InputError(f"modulus {self.q} is not a prime power")
         object.__setattr__(self, "p", p)
 
-    def reduce(self, a):
-        return a % self.q
-
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
-
-    def neg(self, a):
-        return (-a) % self.q
-
     def __str__(self):
         return f"Z/{self.q}"

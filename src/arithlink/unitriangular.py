@@ -209,15 +209,29 @@ def commutator(a, b):
 
 
 def matpow(a, e):
+    """a**e by square-and-multiply, with no product by Id and no squaring
+    past the top bit of e."""
     if e < 0:
         return matpow(inverse(a), -e)
-    result = identity(a.shape, a.ring)
-    base = a
+    result = None
     while e:
         if e & 1:
-            result = mul(result, base)
-        base = mul(base, base)
+            result = a if result is None else mul(result, a)
         e >>= 1
+        if e:
+            a = mul(a, a)
+    return identity(a.shape, a.ring) if result is None else result
+
+
+def eval_word(assignment, word, shape, ring):
+    """Image of a word under the homomorphism given by label -> matrix images."""
+    result = identity(shape, ring)
+    for label, exp in word.syllables:
+        try:
+            mat = assignment[label]
+        except KeyError:
+            raise InputError(f"generator {label!r} has no assigned matrix") from None
+        result = mul(result, matpow(mat, exp))
     return result
 
 

@@ -53,21 +53,24 @@ class GroupWord:
         return GroupWord(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, k):
+        """w**k by square-and-multiply, so k may be as large as a modulus."""
         if k < 0:
             return self.inverse() ** (-k)
-        w = GroupWord()
-        for _ in range(k):
-            w = w * self
-        return w
+        result = GroupWord()
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
 
     def is_identity(self):
         return not self.syllables
 
     def labels(self):
         return {g for g, _ in self.syllables}
-
-    def exponent_sum(self, label):
-        return sum(e for g, e in self.syllables if g == label)
 
     def substitute(self, mapping):
         """Replace each generator by a word; absent labels map to themselves."""

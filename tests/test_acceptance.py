@@ -233,23 +233,28 @@ def _commutator_sigma(rng, labels):
     return w
 
 
+def _lift_fixtures(count=100):
+    """Criterion 7's presentations: n in {2, 3}, commutator sigma words."""
+    rng = random.Random(47)
+    ring = ResidueRing(2)
+    for _ in range(count):
+        n = rng.choice((2, 3))
+        labels = tuple(f"t{l}" for l in range(1, n + 1))
+        slots = tuple(Slot(lab, f"s{l}")
+                      for l, lab in enumerate(labels, start=1))
+        sigma_words = tuple(
+            (f"s{l}", _commutator_sigma(rng, labels))
+            for l in range(1, n + 1))
+        relators = tuple(
+            Relator.linktype(lab, rng.randrange(2), lab, f"s{l}", 2)
+            for l, lab in enumerate(labels, start=1))
+        yield LinkPresentation(ring, n, slots, sigma_words, relators)
+
+
 def test_criterion_7_fiber_lift():
     with criterion(7, "fiber lifting"):
-        rng = random.Random(47)
-        ring = ResidueRing(2)
-        fixtures = 0
-        while fixtures < 100:
-            n = rng.choice((2, 3))
-            labels = tuple(f"t{l}" for l in range(1, n + 1))
-            slots = tuple(Slot(lab, f"s{l}")
-                          for l, lab in enumerate(labels, start=1))
-            sigma_words = tuple(
-                (f"s{l}", _commutator_sigma(rng, labels))
-                for l in range(1, n + 1))
-            relators = tuple(
-                Relator.linktype(lab, rng.randrange(2), lab, f"s{l}", 2)
-                for l, lab in enumerate(labels, start=1))
-            pres = LinkPresentation(ring, n, slots, sigma_words, relators)
+        for pres in _lift_fixtures():
+            n = pres.n
             g1 = build_globalization(restrict_presentation(pres, "upper"))
             g2 = build_globalization(restrict_presentation(pres, "lower"))
             assert isinstance(g1, Globalization)
@@ -262,7 +267,13 @@ def test_criterion_7_fiber_lift():
             for lab, _ in g2.assignment:
                 assert ut.lower_right(lifted.matrix(lab), n - 1) == \
                     g2.matrix(lab)
-            fixtures += 1
+
+
+def test_fiber_lift_is_build_globalization():
+    for pres in _lift_fixtures():
+        g1 = build_globalization(restrict_presentation(pres, "upper"))
+        g2 = build_globalization(restrict_presentation(pres, "lower"))
+        assert fiber_lift(g1, g2, pres) == build_globalization(pres)
 
 
 def test_criterion_8_pairing_identity():

@@ -460,3 +460,76 @@ def test_parse_checks_slot_range():
 def test_comments_and_blank_lines_ignored():
     pres = presentation("# header\nparams n=1 q=2\n\nslot 1 tau=t1  # slot\n")
     assert pres.n == 1
+
+
+def test_tau_exp_round_trip():
+    pres = LinkPresentation(
+        ResidueRing(4), 2, (Slot("t1", "s1"), Slot("t2", "s2")),
+        (("s1", parse_word("[t1,t2]")), ("s2", parse_word("[t2,t1]"))),
+        (Relator.linktype("t1", 1, "t1", "s1", 4),
+         Relator.linktype("t1", 1, "t2", "s2", 4, tau_exp=3)))
+    text = format_presentation(pres)
+    assert text.count("tau_exp") == 1 and "tau_exp=3" in text
+    back = parse_presentation(text)
+    assert back == pres
+    assert [r.word for r in back.relators] == [r.word for r in pres.relators]
+
+
+def test_linktype_at_cryptographic_modulus():
+    q = 2**61 - 1
+    rel = Relator.linktype("t1", 1, "t2", "s", q)
+    assert rel.word.syllables[0] == ("t1", q)
+
+
+# ---------------------------------------------------------------------------
+# fiber lift returns build_globalization's result
+
+
+def test_fiber_lift_equals_build_globalization_n4():
+    # nested commutators of all four taus: trivial in both windows, each with
+    # a nonzero corner in U_4
+    sigmas = ("[[[t1,t2],t3],t4]", "[[[t2,t1],t3],t4]",
+              "[[t1,[t2,t3]],t4]", "[t1,[[t2,t3],t4]]")
+    text = "params n=4 q=3\n"
+    for l in range(1, 5):
+        text += f"slot {l} tau=t{l} sigma=s{l}\n"
+    for l, word in enumerate(sigmas, start=1):
+        text += f"sigma s{l} = {word}\n"
+    for l in range(1, 5):
+        text += f"rel linktype tau'=t{l} alpha={l % 3} tau=t{l} sigma=s{l}\n"
+    pres = presentation(text)
+    g1 = glob_or_fail(restrict_presentation(pres, "upper"))
+    g2 = glob_or_fail(restrict_presentation(pres, "lower"))
+    lifted = fiber_lift(g1, g2, pres)
+    assert lifted == glob_or_fail(pres)
+    for l in range(1, 5):
+        assert not lifted.matrix(f"s{l}").is_identity()
+
+
+def test_fiber_lift_passes_obstruction_through():
+    pres = presentation("params n=3 q=2\n"
+                        "slot 1 tau=t1\nslot 2 tau=t2\nslot 3 tau=t3\n"
+                        "rel [[t1,t2],t3]\n")
+    g1 = glob_or_fail(restrict_presentation(pres, "upper"))
+    g2 = glob_or_fail(restrict_presentation(pres, "lower"))
+    lifted = fiber_lift(g1, g2, pres)
+    assert isinstance(lifted, Obstruction)
+    assert lifted == build_globalization(pres)
+    [(_, image, depth)] = lifted.failures
+    assert depth == 3
+    assert image == ut.elementary(ut.ConvexShape.full(3), 1, 4, 1, R2)
+
+
+def test_fiber_lift_rejects_noncentral_lift(monkeypatch):
+    import arithlink.linking as linking
+    pres = presentation(COMMUTATOR_N2)
+    g1 = glob_or_fail(restrict_presentation(pres, "upper"))
+    g2 = glob_or_fail(restrict_presentation(pres, "lower"))
+    glob = glob_or_fail(pres)
+    shape = ut.ConvexShape.full(2)
+    skewed = Globalization(2, R2, tuple(
+        (label, ut.elementary(shape, 1, 2, 1, R2) if label == "s1" else mat)
+        for label, mat in glob.assignment))
+    monkeypatch.setattr(linking, "build_globalization", lambda p: skewed)
+    with pytest.raises(PreconditionError, match="s1"):
+        fiber_lift(g1, g2, pres)

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arithlink import unitriangular as ut
 from arithlink.errors import CompatibilityError, InputError
-from arithlink.magnus import TruncatedSeries, eps, magnus_eval, magnus_matrix
+from arithlink.magnus import (TruncatedSeries, eps, magnus_eval,
+                              magnus_matrix, series_matrix)
 from arithlink.rings import ResidueRing
 from arithlink.words import GroupWord, commutator, parse_word
 
@@ -188,3 +191,31 @@ def test_nested_commutator_has_corner_one():
     w = parse_word("[[t1,t2],t3]")
     m = magnus_matrix(w, ("t1", "t2", "t3"), R2)
     assert m == ut.elementary(ut.ConvexShape.full(3), 1, 4, 1, R2)
+
+
+# ---------------------------------------------------------------------------
+# the homomorphism path against the series oracle
+
+# t5 and x never appear in an index: they exercise labels outside it
+_LABELS = ("t1", "t2", "t3", "t4")
+_words = st.lists(
+    st.tuples(st.sampled_from(_LABELS + ("t5", "x")),
+              st.sampled_from((-3, -2, -1, 1, 2, 3))),
+    max_size=8).map(lambda syl: GroupWord(tuple(syl)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(word=_words,
+       index=st.lists(st.sampled_from(_LABELS), max_size=4).map(tuple),
+       q=st.sampled_from((2, 3, 4, 9, 257)))
+@example(word=parse_word("[[t1,t2],t3] x^2"), index=(), q=2)
+@example(word=parse_word("[[t1,t2],t3]"), index=("t3", "t2", "t1"), q=3)
+@example(word=parse_word("t1^2 t2 t1^-1 t5"), index=("t1", "t2", "t1"), q=9)
+@example(word=parse_word("x^3 t2 x t1^-2"), index=("t1", "t1", "t2", "t2"),
+         q=257)
+def test_matrix_matches_series_oracle(word, index, q):
+    ring = ResidueRing(q)
+    got = magnus_matrix(word, index, ring)
+    assert got == series_matrix(word, index, ring)
+    assert eps(word, index, ring) == \
+        magnus_eval(word, len(index), ring).coefficient(index)

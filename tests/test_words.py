@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from arithlink.errors import ParseError
@@ -76,3 +78,23 @@ def test_parse_errors():
         parse_word("t1^")
     with pytest.raises(ParseError):
         parse_word("t1 + t2")
+
+
+def test_power_of_generator_at_modulus_size():
+    # square-and-multiply: about 2 * 61 products, not 2**61
+    k = 2**61 - 1
+    assert GroupWord.generator("t1") ** k == GroupWord.generator("t1", k)
+
+
+def test_power_matches_repeated_product():
+    rng = random.Random(5)
+    labels = ["t1", "t2", "t3"]
+    for _ in range(10):
+        w = GroupWord(tuple((rng.choice(labels), rng.choice((-2, -1, 1, 2)))
+                            for _ in range(rng.randrange(6))))
+        for k in range(-5, 21):
+            base = w if k >= 0 else w.inverse()
+            expected = GroupWord.identity()
+            for _ in range(abs(k)):
+                expected = expected * base
+            assert w ** k == expected
